@@ -177,7 +177,7 @@ class Swarm:
         for _ in range(count):
             src, dst = self.rng.sample(live, 2)
             try:
-                reply = control_call(src.sock, "ping", vip=dst.vip,
+                reply = control_call(src.sock, "ping", {"vip": dst.vip},
                                      timeout=timeout + 5.0)
             except ControlError:
                 reply = {"replied": False}

@@ -39,10 +39,13 @@ class ControlError(RuntimeError):
     """A daemon answered ``ok: false`` or the socket was unusable."""
 
 
-def control_call(path: str, cmd: str, timeout: float = 10.0,
-                 **params: Any) -> dict:
-    """One synchronous request/reply against a daemon control socket."""
-    request = json.dumps({"cmd": cmd, **params}).encode() + b"\n"
+def control_call(path: str, cmd: str,
+                 params: Optional[dict[str, Any]] = None,
+                 timeout: float = 10.0) -> dict:
+    """One synchronous request/reply against a daemon control socket.
+    ``timeout`` bounds the socket; ``params`` (which may carry a
+    command's own ``timeout``) go into the request."""
+    request = json.dumps({"cmd": cmd, **(params or {})}).encode() + b"\n"
     with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
         sock.settimeout(timeout)
         try:
@@ -205,8 +208,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         failures = 0
         for path in _targets(args):
             try:
-                reply = control_call(path, args.command,
-                                     timeout=args.timeout, **params)
+                reply = control_call(path, args.command, params,
+                                     timeout=args.timeout)
             except ControlError as exc:
                 print(f"{path}: ERROR {exc}", file=sys.stderr)
                 failures += 1

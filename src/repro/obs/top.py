@@ -11,7 +11,7 @@ Two attach modes:
 * **stats socket** — ``python -m repro.obs.top --connect IP:PORT`` polls
   the UDP stats socket exposed by
   :meth:`~repro.transport.runtime.RealtimeKernel.serve_stats` (see
-  ``python -m repro.apps.udp_demo --stats-port``), so a long-running
+  ``python -m repro.apps.daemon … --stats-port``), so a long-running
   live-UDP daemon can be watched from another process.
 
 The dashboard shows event rate, kernel health (backlog / tombstones /
@@ -314,7 +314,7 @@ def main(argv: Optional[list[str]] = None, out=None) -> int:
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--connect", metavar="IP:PORT",
                       help="poll a RealtimeKernel stats socket "
-                           "(see udp_demo --stats-port)")
+                           "(see repro.apps.daemon --stats-port)")
     mode.add_argument("--sim", choices=["churn"],
                       help="run an inline simulated overlay and watch it")
     parser.add_argument("--interval", type=float, default=1.0,

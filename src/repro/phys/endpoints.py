@@ -52,8 +52,8 @@ class IpAllocator:
 
     def allocate(self) -> str:
         """Next free address in the subnet; raises when exhausted."""
-        ip = f"{self.prefix}{self._next}"
-        self._next += 1
         if self._next > 254:
             raise ValueError(f"subnet {self.prefix} exhausted")
+        ip = f"{self.prefix}{self._next}"
+        self._next += 1
         return ip

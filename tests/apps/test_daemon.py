@@ -12,6 +12,7 @@ import asyncio
 import json
 import os
 
+from repro.apps import wowctl
 from repro.apps.daemon import WowDaemon
 from repro.brunet.bootstrap import PeerCache
 from repro.brunet.config import BrunetConfig
@@ -40,7 +41,7 @@ async def _wait_for(predicate, timeout: float = 20.0, step: float = 0.05):
     return False
 
 
-def test_two_daemons_form_ring_and_answer_control(tmp_path):
+def test_two_daemons_form_ring_and_answer_control(tmp_path, capsys):
     async def scenario():
         a = WowDaemon("10.128.0.2", config=FAST, name="a",
                       control_path=str(tmp_path / "a.sock"))
@@ -66,6 +67,13 @@ def test_two_daemons_form_ring_and_answer_control(tmp_path):
         ping = await _ctl(str(tmp_path / "a.sock"), "ping",
                           vip="10.128.0.3", timeout=5.0)
         assert ping["replied"] and ping["rtt"] is not None
+        # the CLI's --ping-timeout travels in the request, apart from the
+        # control socket's own --timeout
+        rc = await asyncio.to_thread(wowctl.main, [
+            "--sock", str(tmp_path / "a.sock"), "ping", "10.128.0.3",
+            "--ping-timeout", "5"])
+        assert rc == 0
+        assert '"replied": true' in capsys.readouterr().out
 
         bogus = await _ctl(str(tmp_path / "a.sock"), "no-such-cmd")
         assert not bogus["ok"] and "unknown command" in bogus["error"]

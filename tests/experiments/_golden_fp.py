@@ -7,8 +7,7 @@ used here are small (seconds each) but exercise joins, CTM handshakes,
 linking, greedy routing, shortcut formation, crash-detection and repair —
 the full overlay stack.
 
-``capture_churn``/``capture_fig4`` are also import-run as a script by the
-maintenance workflow to (re)print the expected digests::
+The module also runs as a script that (re)prints every expected digest::
 
     PYTHONPATH=src python -m tests.experiments._golden_fp
 """
@@ -16,6 +15,7 @@ maintenance workflow to (re)print the expected digests::
 from __future__ import annotations
 
 import hashlib
+import json
 
 
 def _digest_records(tracer) -> str:
@@ -72,12 +72,60 @@ def capture_fig4(seed: int = 0) -> str:
     return h.hexdigest()
 
 
+def capture_overlay(seed: int = 5) -> str:
+    """A 10-node public overlay built one join every 2 s, then one node
+    stopped (cancelling its timers, dropping its links) and 60 s of
+    repair: joins, pings, drops and shortcut formation, event for event."""
+    from repro.brunet import BrunetConfig, BrunetNode, random_address
+    from repro.brunet.uri import Uri
+    from repro.phys import Internet, Site
+    from repro.sim.engine import Simulator
+
+    sim = Simulator(seed=seed, trace=True)
+    net = Internet(sim)
+    site = Site(net, "pub")
+    rng = sim.rng.stream("golden")
+    boot = None
+    nodes = []
+    for i in range(10):
+        h = site.add_host(f"h{i}")
+        n = BrunetNode(sim, h, random_address(rng), BrunetConfig(),
+                       name=f"n{i}")
+        n.start([boot] if boot else [])
+        if boot is None:
+            boot = Uri.udp(h.ip, n.port)
+        nodes.append(n)
+        sim.run(until=sim.now + 2.0)
+    nodes[3].stop()
+    sim.run(until=sim.now + 60.0)
+    return _digest_records(sim.tracer)
+
+
+def capture_scaling(seed: int = 3) -> str:
+    """Summary of a 32-node scaling point (hops, joins, reachability)."""
+    from repro.experiments import scaling
+
+    p = scaling.measure(32, seed=seed, sample_pairs=60)
+    return hashlib.sha256(
+        json.dumps(p.__dict__, sort_keys=True).encode()).hexdigest()
+
+
+def capture_joincdf(seed: int = 1) -> str:
+    """Per-trial route and direct-link join times over a NAT'd testbed."""
+    from repro.experiments import join_latency_cdf
+
+    r = join_latency_cdf.run(seed=seed, scale=0.25, trials=2, window=40.0)
+    return hashlib.sha256(
+        json.dumps([r.route_times, r.direct_times]).encode()).hexdigest()
+
+
 if __name__ == "__main__":  # pragma: no cover - maintenance helper
     import time
-    t0 = time.time()
-    c = capture_churn()
-    t1 = time.time()
-    f = capture_fig4()
-    t2 = time.time()
-    print(f"CHURN_FP = \"{c}\"  # {t1 - t0:.1f}s")
-    print(f"FIG4_FP = \"{f}\"  # {t2 - t1:.1f}s")
+    for name, capture in (("CHURN_FP", capture_churn),
+                          ("FIG4_FP", capture_fig4),
+                          ("OVERLAY_FP", capture_overlay),
+                          ("SCALING_FP", capture_scaling),
+                          ("JOINCDF_FP", capture_joincdf)):
+        t0 = time.time()
+        digest = capture()
+        print(f"{name} = \"{digest}\"  # {time.time() - t0:.1f}s")

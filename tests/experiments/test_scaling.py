@@ -35,3 +35,9 @@ def test_report_renders(capsys, point):
     out = capsys.readouterr().out
     assert "Overlay scaling sweep" in out
     assert "24" in out
+
+
+def test_run_works_with_its_own_defaults():
+    points = scaling.run()
+    assert [p.n_nodes for p in points] == [32, 64, 128]
+    assert all(p.unreachable == 0 for p in points)

@@ -32,6 +32,14 @@ def test_allocator_sequential_and_bounded():
         pytest.fail("allocator never exhausted")
 
 
+def test_allocator_hands_out_every_host_address_through_254():
+    alloc = IpAllocator("10.0.0.")
+    assert [alloc.allocate() for _ in range(253)] == [
+        f"10.0.0.{i}" for i in range(2, 255)]
+    with pytest.raises(ValueError, match="exhausted"):
+        alloc.allocate()
+
+
 class TestHost:
     def setup_method(self):
         self.sim = Simulator(seed=1)

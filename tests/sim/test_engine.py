@@ -133,3 +133,60 @@ def test_events_processed_counts():
         sim.schedule(float(i), lambda: None)
     sim.run()
     assert sim.events_processed == 7
+
+
+def test_fifo_order_within_priority_across_scheduling_times():
+    """Events due at the same time and priority fire in scheduling order,
+    even when one is scheduled later, from inside another event."""
+    sim = Simulator()
+    order = []
+    sim.schedule(5.0, order.append, "a")
+    sim.schedule(5.0, order.append, "b")
+    sim.schedule(5.0, order.append, "hi", priority=-1)
+    sim.schedule(0.2, lambda: sim.schedule(4.8, order.append, "c"))
+    sim.run()
+    assert order == ["hi", "a", "b", "c"]
+
+
+def test_pending_counter_matches_brute_force():
+    sim = Simulator(trace=False)
+    events = []
+    for i in range(500):
+        events.append(sim.schedule(float(i % 50) + (i % 7) * 10.0,
+                                   lambda: None))
+    for ev in events[::3]:
+        ev.cancel()
+    for ev in events[::3]:
+        ev.cancel()  # idempotent: no double decrement
+    assert sim.pending() == sum(1 for _ in sim.iter_pending())
+    assert sim.pending() == len(events) - len(events[::3])
+    sim.run(until=25.0)
+    assert sim.pending() == sum(1 for _ in sim.iter_pending())
+    sim.run()
+    assert sim.pending() == 0
+
+
+def test_lazy_compaction_keeps_heap_small():
+    """Cancelling most of a large heap triggers a rebuild that sheds the
+    tombstones without losing or reordering the survivors."""
+    sim = Simulator(trace=False)
+    keep, cancelled = [], []
+    for i in range(2000):
+        ev = sim.schedule(float(i) * 0.01, (keep if i % 10 == 0
+                                            else cancelled).append, i)
+        if i % 10 != 0:
+            ev.cancel()
+    assert len(sim._queue) < 2000  # compaction ran
+    sim.run()
+    assert cancelled == []
+    assert keep == list(range(0, 2000, 10))
+
+
+def test_cancel_from_earlier_event_never_fires():
+    sim = Simulator(trace=False)
+    hits = []
+    far = sim.schedule(50.0, hits.append, "far")
+    sim.schedule(49.0, far.cancel)
+    sim.schedule(51.0, hits.append, "after")
+    sim.run()
+    assert hits == ["after"]

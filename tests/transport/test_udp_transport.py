@@ -1,8 +1,8 @@
-"""Live-socket smoke: real asyncio UDP sockets on localhost.
+"""Live-socket checks: real asyncio UDP sockets on localhost.
 
-The full two-node bootstrap + CTM + linking + tunnelled-ping scenario is
-exercised via the demo's ``run`` coroutine (the same code CI runs as a
-standalone process); plus focused unit checks on UdpTransport framing.
+Focused unit checks on UdpTransport framing and the realtime kernel.  The
+full two-node bootstrap + CTM + linking + tunnelled-ping scenario runs
+over two daemons in ``tests/apps/test_daemon.py``.
 """
 
 import asyncio
@@ -96,10 +96,3 @@ def test_realtime_kernel_schedule_and_cancel():
     fired, processed = asyncio.run(scenario())
     assert fired == ["a"]
     assert processed == 1
-
-
-def test_live_two_node_overlay_and_tunnelled_ping():
-    """The CI smoke scenario: unmodified BrunetNode/IpopRouter over real
-    UDP sockets — bootstrap, CTM handshake, linking, virtual-IP ping."""
-    from repro.apps.udp_demo import run
-    assert asyncio.run(run(timeout=60.0, verbose=False)) == 0
