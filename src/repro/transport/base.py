@@ -47,7 +47,7 @@ class Transport(abc.ABC):
     @abc.abstractmethod
     def send(self, dst: Endpoint, msg: Any, size_hint: int = 0) -> None:
         """Fire-and-forget one message.  ``size_hint`` is the
-        paper-constant byte charge; transports in measured/codec modes
+        paper-constant byte charge; transports in codec mode
         ignore it and charge the encoded length instead."""
 
     @abc.abstractmethod

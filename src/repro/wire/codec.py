@@ -33,9 +33,7 @@ Version 2 is built for per-packet speed:
 * repeated values (addresses, URIs, short strings) round-trip through
   bounded caches, and immutable messages memoize their encoded frame
   (``via`` / ``hops`` / trace-bearing envelopes are exempt — see
-  ``_CACHEABLE``);
-* :func:`encoded_size` is pure arithmetic over the layout tables — it
-  never encodes to measure.
+  ``_CACHEABLE``).
 
 Payloads the protocol does not define (middleware RPC bodies, opaque
 application data) fall back to an ``OPAQUE`` frame carrying a pickle of
@@ -45,12 +43,13 @@ That keeps the codec total over everything the overlay can legitimately
 carry; like the paper's deployment, peers on a link are assumed to be
 inside one trust domain (do not decode frames from untrusted networks).
 
-Every decode failure — truncation, bad version, unknown tag, malformed
-UTF-8/pickle, trailing garbage — raises :class:`DecodeError` and nothing
-else.  The lazy path defers *body* validation to :func:`materialize`
-(a transit router does not validate payloads it merely forwards); the
-node layer counts a late body failure exactly like a transport decode
-error.
+Every decode failure — truncation, bad version, unknown tag, a
+``conn_type`` outside :class:`~repro.brunet.connection.ConnectionType`,
+malformed UTF-8/pickle, trailing garbage — raises :class:`DecodeError`
+and nothing else.  The lazy path defers *body* validation to
+:func:`materialize` (a transit router does not validate payloads it
+merely forwards); the node layer counts a late body failure exactly like
+a transport decode error.
 """
 
 from __future__ import annotations
@@ -62,6 +61,7 @@ from struct import error as _StructError
 from typing import Any, NamedTuple, Optional
 
 from repro.brunet.address import BrunetAddress
+from repro.brunet.connection import ConnectionType
 from repro.brunet.dht import DhtGet, DhtPut, DhtReply
 from repro.brunet.messages import (
     CloseMessage,
@@ -88,7 +88,7 @@ from repro.phys.endpoints import Endpoint
 #: VirtualIpPacket/Segment, typed frames for vTCP segments and DHT ops.
 WIRE_VERSION = 2
 
-#: physical framing charged per datagram in measured/codec accounting:
+#: physical framing charged per datagram in codec-mode accounting:
 #: IPv4 header (20) + UDP header (8).  The overlay's own framing is part
 #: of the encoded message, so it is never charged twice.
 UDP_IP_OVERHEAD = 28
@@ -129,8 +129,7 @@ _U32 = Struct(">I")
 # ---------------------------------------------------------------------------
 # composite layouts (one Struct per fixed-shape field run, tag included
 # where the whole prefix is fixed).  These Structs ARE the layout tables:
-# encoders pack them, decoders unpack them, and the arithmetic sizing
-# below derives every fixed size from their .size attributes.
+# encoders pack them, decoders unpack them.
 # ---------------------------------------------------------------------------
 
 _TOK_ADDR = Struct(">BQ20s")            # tag, token, address  (ping/link/ctm heads)
@@ -314,6 +313,16 @@ def _d_str(buf: bytes, pos: int, n: int) -> tuple[str, int]:
     if end > n:
         raise _trunc(k, pos, n)
     return _ds(buf[pos:end]), end
+
+
+_CONN_TYPES = frozenset(t.value for t in ConnectionType)
+
+
+def _d_conn_type(buf: bytes, pos: int, n: int) -> tuple[str, int]:
+    conn_type, pos = _d_str(buf, pos, n)
+    if conn_type not in _CONN_TYPES:
+        raise DecodeError(f"unknown conn_type {conn_type!r}")
+    return conn_type, pos
 
 
 def _d_uri(buf: bytes, pos: int, n: int) -> tuple[Uri, int]:
@@ -687,7 +696,7 @@ def _e_any(out: bytearray, value: Any) -> None:
 def _d_link_request(buf: bytes, pos: int, n: int):
     token, raw = _TOK_ADDR.unpack_from(buf, pos - 1)[1:]
     uris, pos = _d_uris(buf, pos + 28, n)
-    conn_type, pos = _d_str(buf, pos, n)
+    conn_type, pos = _d_conn_type(buf, pos, n)
     trace, pos = _d_trace(buf, pos, n)
     m = _new(LinkRequest)
     m.__dict__ = {"token": token, "sender_addr": _da(raw),
@@ -700,7 +709,7 @@ def _d_link_reply(buf: bytes, pos: int, n: int):
     token, raw = _TOK_ADDR.unpack_from(buf, pos - 1)[1:]
     uris, pos = _d_uris(buf, pos + 28, n)
     observed, pos = _d_uri(buf, pos, n)
-    conn_type, pos = _d_str(buf, pos, n)
+    conn_type, pos = _d_conn_type(buf, pos, n)
     trace, pos = _d_trace(buf, pos, n)
     m = _new(LinkReply)
     m.__dict__ = {"token": token, "sender_addr": _da(raw),
@@ -746,7 +755,7 @@ def _d_ping_reply(buf: bytes, pos: int, n: int):
 def _d_ctm_request(buf: bytes, pos: int, n: int):
     token, raw = _TOK_ADDR.unpack_from(buf, pos - 1)[1:]
     uris, pos = _d_uris(buf, pos + 28, n)
-    conn_type, pos = _d_str(buf, pos, n)
+    conn_type, pos = _d_conn_type(buf, pos, n)
     if pos >= n:
         raise _trunc(1, pos, n)
     if buf[pos]:
@@ -766,7 +775,7 @@ def _d_ctm_request(buf: bytes, pos: int, n: int):
 def _d_ctm_reply(buf: bytes, pos: int, n: int):
     token, raw = _TOK_ADDR.unpack_from(buf, pos - 1)[1:]
     uris, pos = _d_uris(buf, pos + 28, n)
-    conn_type, pos = _d_str(buf, pos, n)
+    conn_type, pos = _d_conn_type(buf, pos, n)
     m = _new(CtmReply)
     m.__dict__ = {"token": token, "responder_addr": _da(raw),
                   "responder_uris": uris, "conn_type": conn_type}
@@ -1197,153 +1206,3 @@ def peek_header(buf: Any) -> FrameHeader:
                        excl != 0, approach, ttl, hops,
                        trace.trace_id if trace else None,
                        trace.parent if trace else None)
-
-
-# ---------------------------------------------------------------------------
-# arithmetic sizing: byte counts derived from the layout tables above —
-# encoded_size() never encodes (the OPAQUE pickle fallback is the one
-# unavoidable exception: pickle's length is not predictable).
-# Typed sizers return the full sub-frame size INCLUDING the tag byte
-# (the composite Structs carry it).  tests/wire/ assert
-# encoded_size(m) == len(encode(m)) over the full fuzz corpus.
-# ---------------------------------------------------------------------------
-
-def _sz_str(s: str) -> int:
-    return 2 + (len(s) if s.isascii() else len(s.encode("utf-8")))
-
-
-def _sz_uri(u: Uri) -> int:
-    return _sz_str(u.transport) + _sz_str(u.endpoint.ip) + 2
-
-
-def _sz_uris(uris: list) -> int:
-    return 2 + sum(_sz_uri(u) for u in uris)
-
-
-def _sz_trace(ref: Optional[TraceRef]) -> int:
-    return _TRACE.size if ref is not None else 1
-
-
-def _sz_link_request(m: LinkRequest) -> int:
-    return (_TOK_ADDR.size + _sz_uris(m.sender_uris)
-            + _sz_str(m.conn_type) + _sz_trace(m.trace))
-
-
-def _sz_link_reply(m: LinkReply) -> int:
-    return (_TOK_ADDR.size + _sz_uris(m.sender_uris) + _sz_uri(m.observed_uri)
-            + _sz_str(m.conn_type) + _sz_trace(m.trace))
-
-
-def _sz_link_error(m: LinkError) -> int:
-    return _TOK_ADDR.size + _sz_str(m.reason)
-
-
-def _sz_close(m: CloseMessage) -> int:
-    return _ADDR20.size + _sz_str(m.reason)
-
-
-def _sz_ping_request(m: PingRequest) -> int:
-    return _TOK_ADDR.size
-
-
-def _sz_ping_reply(m: PingReply) -> int:
-    return _TOK_ADDR.size + _sz_uri(m.observed_uri) + 1
-
-
-def _sz_ctm_request(m: CtmRequest) -> int:
-    return (_TOK_ADDR.size + _sz_uris(m.initiator_uris)
-            + _sz_str(m.conn_type)
-            + (1 + ADDRESS_BYTES if m.reply_via is not None else 1) + 2)
-
-
-def _sz_ctm_reply(m: CtmReply) -> int:
-    return (_TOK_ADDR.size + _sz_uris(m.responder_uris)
-            + _sz_str(m.conn_type))
-
-
-def _sz_ip_encap(m: IpEncap) -> int:
-    return _IPENC.size + _sz_any(m.payload)
-
-
-def _sz_forward(m: Forward) -> int:
-    return _FWD.size + _sz_any(m.inner)
-
-
-def _sz_routed(m: RoutedPacket) -> int:
-    s = _RHDR.size + _sz_trace(m.trace) + 2 + ADDRESS_BYTES * len(m.via)
-    if m.approach not in _APPROACH_CODE:
-        s += _sz_str(m.approach)
-    return s + _sz_any(m.payload)
-
-
-def _sz_virtual_ip(m: VirtualIpPacket) -> int:
-    return (1 + _sz_str(m.src_ip) + _sz_str(m.dst_ip) + _sz_str(m.proto)
-            + _VIP_TAIL.size + _sz_any(m.payload))  # 1 = explicit tag byte
-
-
-def _sz_icmp_echo(m: IcmpEcho) -> int:
-    return _ICMP.size
-
-
-def _sz_segment(m: Segment) -> int:
-    return _SEG.size + _sz_str(m.flags) + _sz_any(m.payload)
-
-
-def _sz_dht_put(m: DhtPut) -> int:
-    return _DHT_PUT.size + _sz_str(m.key) + _sz_any(m.value)
-
-
-def _sz_dht_get(m: DhtGet) -> int:
-    return _DHT_GET.size + _sz_str(m.key)
-
-
-def _sz_dht_reply(m: DhtReply) -> int:
-    return (_DHT_REP.size + _sz_str(m.key) + 2
-            + sum(_sz_any(v) for v in m.values))
-
-
-def _sz_rawbody(m: RawBody) -> int:
-    return len(m)  # raw already includes its own tag byte
-
-
-_SIZERS: dict[type, Any] = {
-    LinkRequest: _sz_link_request,
-    LinkReply: _sz_link_reply,
-    LinkError: _sz_link_error,
-    CloseMessage: _sz_close,
-    PingRequest: _sz_ping_request,
-    PingReply: _sz_ping_reply,
-    CtmRequest: _sz_ctm_request,
-    CtmReply: _sz_ctm_reply,
-    IpEncap: _sz_ip_encap,
-    Forward: _sz_forward,
-    RoutedPacket: _sz_routed,
-    VirtualIpPacket: _sz_virtual_ip,
-    IcmpEcho: _sz_icmp_echo,
-    Segment: _sz_segment,
-    DhtPut: _sz_dht_put,
-    DhtGet: _sz_dht_get,
-    DhtReply: _sz_dht_reply,
-    RawBody: _sz_rawbody,
-}
-
-
-def _sz_any(value: Any) -> int:
-    """Full sub-frame size (tag + fields) of a nested value."""
-    t = type(value)
-    sz = _SIZERS.get(t)
-    if sz is not None:
-        return sz(value)
-    if value is None:
-        return 1
-    if t is str:
-        return 1 + _sz_str(value)
-    if t is bytes:
-        return 5 + len(value)
-    return 5 + len(pickle.dumps(value, protocol=4))
-
-
-def encoded_size(msg: Any) -> int:
-    """On-wire size of ``msg`` in bytes (excluding UDP/IP), computed
-    arithmetically from the layout tables — no encode, no allocation."""
-    return 1 + _sz_any(msg)

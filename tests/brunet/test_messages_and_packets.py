@@ -1,19 +1,8 @@
-"""Message/token plumbing and datagram path accounting."""
+"""Message plumbing and datagram path accounting."""
 
-from repro.brunet.messages import (
-    CtmRequest,
-    LinkRequest,
-    RoutedPacket,
-    next_token,
-)
+from repro.brunet.messages import CtmRequest, LinkRequest, RoutedPacket
 from repro.phys.endpoints import Endpoint
 from repro.phys.packet import HEADER_BYTES, Datagram
-
-
-def test_tokens_monotonic_and_unique():
-    tokens = [next_token() for _ in range(100)]
-    assert tokens == sorted(tokens)
-    assert len(set(tokens)) == 100
 
 
 def test_datagram_size_includes_header():
@@ -43,15 +32,15 @@ def test_routed_packet_defaults():
 
 
 def test_ctm_request_join_fields():
-    msg = CtmRequest(next_token(), 1, [], "structured.near",
+    msg = CtmRequest(1, 1, [], "structured.near",
                      reply_via=42, fanout=1)
     assert msg.reply_via == 42 and msg.fanout == 1
-    plain = CtmRequest(next_token(), 1, [], "shortcut")
+    plain = CtmRequest(2, 1, [], "shortcut")
     assert plain.reply_via is None and plain.fanout == 0
 
 
 def test_link_request_carries_uri_list_snapshot():
     from repro.brunet.uri import Uri
     uris = [Uri.udp("1.1.1.1", 1)]
-    msg = LinkRequest(next_token(), 5, uris, "leaf")
+    msg = LinkRequest(3, 5, uris, "leaf")
     assert msg.sender_uris == uris

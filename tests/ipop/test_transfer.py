@@ -3,8 +3,12 @@
 import pytest
 
 from repro.ipop import OverlayTransfer
+from repro.ipop.bandwidth import BandwidthBroker
+from repro.ipop.transfer import MTU
 from repro.sim.units import KB, MB
+from repro.wire import encap_overhead
 from tests.conftest import make_mini_testbed
+from tests.transport.test_sim_transport import _build_overlay
 
 
 @pytest.fixture(scope="module")
@@ -74,3 +78,20 @@ def test_cancel_stops_ticks(bed):
     assert xfer.cancelled
     sim.run(until=sim.now + 30)
     assert not xfer.completed
+
+
+@pytest.mark.parametrize("mode", ["reference", "codec"])
+def test_wire_size_charges_encap_overhead_only_in_codec_mode(mode):
+    sim, _, nodes = _build_overlay(mode, n=2, until=30.0)
+    by_addr = {n.addr: n for n in nodes}
+    broker = BandwidthBroker(sim, by_addr.get)
+    size = KB(100)
+    xfer = OverlayTransfer(broker, nodes[0].addr, nodes[1].addr, size)
+    if mode == "reference":
+        assert xfer.wire_size == size
+    else:
+        assert xfer.wire_size == size * (1 + encap_overhead() / MTU)
+        assert xfer.wire_size > size
+    assert xfer.flow.size == xfer.wire_size
+    sim.run(until=sim.now + 60.0)
+    assert xfer.completed

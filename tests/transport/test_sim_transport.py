@@ -1,23 +1,28 @@
-"""SimTransport behaviour across the three wire modes.
+"""SimTransport behaviour across the two wire modes.
 
 The protocol trajectory (who connects to whom, when) must be identical in
-all modes — sizes feed byte accounting, not latency — while the byte
-accounting itself switches from paper constants to measured encoded
-lengths.
+both modes — sizes feed byte accounting, not latency — while the byte
+accounting itself switches from paper constants (``reference``) to the
+length of the real encoded frame (``codec``).
 """
 
 import pytest
 
 from repro.brunet import BrunetConfig, BrunetNode, random_address
-from repro.brunet.messages import PingRequest
+from repro.brunet.messages import (
+    CtmRequest,
+    LinkRequest,
+    PingRequest,
+    RoutedPacket,
+)
 from repro.brunet.uri import Uri
 from repro.ipop.ippacket import IcmpEcho
 from repro.ipop.mapping import addr_for_ip
 from repro.ipop.router import IpopRouter
 from repro.phys import Internet, Site
 from repro.sim import Simulator
-from repro.transport.sim import SimTransport
-from repro.wire import UDP_IP_OVERHEAD, encode, encoded_size
+from repro.transport.sim import WIRE_MODES, SimTransport
+from repro.wire import UDP_IP_OVERHEAD, encode
 
 
 def _build_overlay(mode: str, n: int = 8, seed: int = 11, until: float = 60.0):
@@ -39,7 +44,7 @@ def _build_overlay(mode: str, n: int = 8, seed: int = 11, until: float = 60.0):
     return sim, net, nodes
 
 
-@pytest.mark.parametrize("mode", ["reference", "measured", "codec"])
+@pytest.mark.parametrize("mode", WIRE_MODES)
 def test_overlay_forms_in_every_wire_mode(mode):
     sim, net, nodes = _build_overlay(mode)
     assert all(n.in_ring for n in nodes)
@@ -55,9 +60,7 @@ def test_trajectory_identical_across_modes():
                  for cat, recs in sorted(sim.tracer.records.items())
                  for t, d in recs]
         return trace, [n.joined_at for n in nodes]
-    ref = fingerprint("reference")
-    assert fingerprint("measured") == ref
-    assert fingerprint("codec") == ref
+    assert fingerprint("codec") == fingerprint("reference")
 
 
 def test_codec_mode_carries_bytes_on_the_wire():
@@ -80,7 +83,15 @@ def test_codec_mode_carries_bytes_on_the_wire():
     assert seen and all(isinstance(p, bytes) for p in seen)
 
 
-def test_measured_mode_charges_encoded_length():
+def test_unknown_wire_mode_is_rejected():
+    assert WIRE_MODES == ("reference", "codec")
+    sim = Simulator(seed=1, trace=False)
+    host = Site(Internet(sim), "pub").add_host("a")
+    with pytest.raises(ValueError, match="wire_mode"):
+        SimTransport(sim, host, 6000, wire_mode="bogus")
+
+
+def test_codec_mode_charges_encoded_length():
     sim = Simulator(seed=1, trace=False)
     net = Internet(sim)
     site = Site(net, "pub")
@@ -88,15 +99,15 @@ def test_measured_mode_charges_encoded_length():
     peer = site.add_host("b")
     got = []
     peer.bind_udp(7000, lambda payload, src, size: got.append((payload, size)))
-    t = SimTransport(sim, host, 6000, wire_mode="measured", name="a")
+    t = SimTransport(sim, host, 6000, wire_mode="codec", name="a")
     t.open(lambda *a: None)
     msg = PingRequest(5, random_address(sim.rng.stream("x")))
     t.send(peer.sockets[7000].endpoint, msg, size_hint=96)
     sim.run()
     assert len(got) == 1
     payload, size = got[0]
-    assert payload is msg  # measured mode: object passes by reference
-    assert size == encoded_size(msg) + UDP_IP_OVERHEAD
+    assert payload == encode(msg)  # real bytes, not the object
+    assert size == len(payload) + UDP_IP_OVERHEAD
     assert size != 96  # the paper-constant hint is ignored
 
 
@@ -184,3 +195,27 @@ def test_node_restart_reuses_transport_and_keeps_port():
     sim.run(until=sim.now + 30.0)
     assert node.port == port
     assert node.in_ring
+
+
+def test_codec_node_survives_unknown_conn_type():
+    """A forged conn_type is dropped and counted at the codec instead of
+    escaping the simulation: a direct LinkRequest fails the frame decode,
+    a routed CtmRequest fails the body decode at local delivery."""
+    sim, net, nodes = _build_overlay("codec", n=2, until=30.0)
+    src, target = nodes
+    forger = src.host.bind_udp(6999, lambda *a: None)
+    ep = target.transport.local_endpoint
+    direct = LinkRequest(1, src.addr, [], "bogus.type")
+    routed = RoutedPacket(src=src.addr, dest=target.addr,
+                          payload=CtmRequest(2, src.addr, [], "bogus"),
+                          size=0, exact=True)
+    for msg in (direct, routed):
+        buf = encode(msg)
+        forger.send(ep, buf, size=len(buf))
+    sim.run(until=sim.now + 30.0)
+    metrics = sim.obs.metrics
+    assert metrics.counter("wire.body_decode_drop",
+                           node=target.name).value == 1
+    assert metrics.counter("wire.decode_error", node=target.name).value == 2
+    assert target.active and target.in_ring
+    assert target.table.get(src.addr) is not None

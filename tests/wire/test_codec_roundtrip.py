@@ -10,6 +10,7 @@ import random
 import pytest
 
 from repro.brunet.address import ADDRESS_SPACE, BrunetAddress
+from repro.brunet.connection import ConnectionType
 from repro.brunet.messages import (
     CloseMessage,
     CtmReply,
@@ -52,8 +53,7 @@ def _trace(rng: random.Random):
 
 
 def _conn_type(rng: random.Random) -> str:
-    return rng.choice(["leaf", "structured.near", "structured.far",
-                       "structured.shortcut"])
+    return rng.choice([t.value for t in ConnectionType])
 
 
 def _icmp(rng: random.Random) -> IcmpEcho:
@@ -226,3 +226,16 @@ def test_malformed_opaque_pickle():
         decode(bytes(buf))
     except DecodeError:
         pass  # typed failure is the requirement; a lucky decode is fine
+
+
+@pytest.mark.parametrize("msg", [
+    LinkRequest(1, BrunetAddress(7), [], "bogus.type"),
+    LinkReply(1, BrunetAddress(7), [], Uri.udp("10.0.0.1", 1), "bogus.type"),
+    CtmRequest(1, BrunetAddress(7), [], "bogus"),
+    CtmReply(1, BrunetAddress(7), [], "bogus"),
+], ids=lambda m: type(m).__name__)
+def test_unknown_conn_type_is_a_decode_error(msg):
+    # a well-formed frame whose conn_type names no ConnectionType must
+    # fail in the codec, not later in a protocol handler
+    with pytest.raises(DecodeError, match="conn_type"):
+        decode(encode(msg))

@@ -1,9 +1,10 @@
-"""Size-accounting invariants for measured wire modes.
+"""Size-accounting invariants for the codec wire mode.
 
 Reference mode keeps the paper constants (HEADER_BYTES on every
-datagram); measured/codec modes charge the encoded length plus real
-UDP/IP headers.  These tests pin the encap overhead for a tunnelled IP
-packet and the Datagram framing override that makes the split possible.
+datagram); codec mode charges the encoded length ``len(encode(msg))``
+plus real UDP/IP headers.  These tests pin the encap overhead for a
+tunnelled IP packet and the Datagram framing override that makes the
+split possible.
 """
 
 import pytest
@@ -14,7 +15,7 @@ from repro.ipop.ippacket import VirtualIpPacket
 from repro.obs.spans import TraceRef
 from repro.phys.endpoints import Endpoint
 from repro.phys.packet import Datagram, HEADER_BYTES
-from repro.wire import UDP_IP_OVERHEAD, encap_overhead, encoded_size
+from repro.wire import UDP_IP_OVERHEAD, encap_overhead, encode
 
 A = Endpoint("10.0.0.1", 14001)
 B = Endpoint("10.0.0.2", 14001)
@@ -33,12 +34,12 @@ def test_encap_overhead_pinned():
     # minimal packet above) + IPv4/UDP (28 B).  A change here is a wire
     # format change and must bump WIRE_VERSION.
     assert encap_overhead() == 129
-    assert encap_overhead() == encoded_size(_tunnelled()) + UDP_IP_OVERHEAD
+    assert encap_overhead() == len(encode(_tunnelled())) + UDP_IP_OVERHEAD
 
 
 def test_traced_packet_pays_exactly_the_trace_ref():
-    untraced = encoded_size(_tunnelled())
-    traced = encoded_size(_tunnelled(trace=TraceRef(123, 456)))
+    untraced = len(encode(_tunnelled()))
+    traced = len(encode(_tunnelled(trace=TraceRef(123, 456))))
     # two u64 span ids — ids, not object references (the presence byte
     # is paid either way)
     assert traced - untraced == 8 + 8
@@ -46,7 +47,7 @@ def test_traced_packet_pays_exactly_the_trace_ref():
 
 def test_payload_bytes_do_not_change_framing_overhead():
     small, big = _tunnelled(vip_size=10), _tunnelled(vip_size=60000)
-    assert encoded_size(small) == encoded_size(big)
+    assert len(encode(small)) == len(encode(big))
 
 
 def test_udp_ip_overhead_is_real_headers_not_paper_constant():
@@ -73,13 +74,17 @@ def test_encap_overhead_is_cached_and_stable():
     assert encap_overhead() == encap_overhead()
 
 
-def test_encoded_size_equals_real_encode_over_fuzz_corpus():
-    """The arithmetic sizer must agree with an actual encode, byte for
-    byte, across every message type and a large randomized corpus —
-    otherwise bandwidth accounting in the simulator silently drifts from
-    what the codec-mode transport would really put on the wire."""
-    from repro.wire import encode
+def test_each_overlay_hop_costs_one_address_over_fuzz_corpus():
+    """encap_overhead() excludes the via list; each transit hop appends
+    one 20-byte address to it and nothing else, so the codec-mode charge
+    of a routed frame grows by exactly that much per hop."""
     from tests.wire.test_codec_roundtrip import _sample_messages
 
-    for msg in _sample_messages(seed=17, per_type=25):
-        assert encoded_size(msg) == len(encode(msg)), msg
+    routed = [m for m in _sample_messages(seed=17, per_type=25)
+              if isinstance(m, RoutedPacket)]
+    assert routed
+    for pkt in routed:
+        before = len(encode(pkt))
+        pkt.hops += 1
+        pkt.via.append(pkt.src)
+        assert len(encode(pkt)) == before + 20, pkt
