@@ -47,6 +47,7 @@ from repro.brunet.address import (
 from repro.brunet.connection import Connection, ConnectionType
 from repro.brunet.routing import overlay_hop_count, trace_route
 from repro.check import invariants
+from repro.experiments.churn_recovery import _ring_consistent
 from repro.experiments.common import print_table
 from repro.phys import Endpoint, Internet, Site
 from repro.sim.shards import ShardedKernel
@@ -181,13 +182,6 @@ def _sample_hops(nodes: list[BrunetNode], sample_pairs: int,
         else:
             hops.append(h)
     return hops, unreachable
-
-
-def _ring_consistent(live: list[BrunetNode]) -> bool:
-    ordered = sorted(live, key=lambda n: int(n.addr))
-    return all(
-        ordered[i].table.get(ordered[(i + 1) % len(ordered)].addr) is not None
-        for i in range(len(ordered)))
 
 
 def _routable_fraction(live: list[BrunetNode], sample_pairs: int,

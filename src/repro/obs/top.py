@@ -8,11 +8,11 @@ Two attach modes:
   :meth:`Top.render` between simulation slices; ``python -m
   repro.obs.top --sim churn`` does exactly that against an inline churn
   overlay, repainting as simulated time advances;
-* **stats socket** — ``python -m repro.obs.top --connect IP:PORT`` polls
-  the UDP stats socket exposed by
-  :meth:`~repro.transport.runtime.RealtimeKernel.serve_stats` (see
-  ``python -m repro.apps.daemon … --stats-port``), so a long-running
-  live-UDP daemon can be watched from another process.
+* **control socket** — ``python -m repro.obs.top --connect SOCK`` polls
+  the ``stats`` command of a daemon's unix control socket (``python -m
+  repro.apps.daemon … --control SOCK``, the same socket
+  :mod:`repro.apps.wowctl` uses), so a long-running live-UDP daemon can
+  be watched from another process.
 
 The dashboard shows event rate, kernel health (backlog / tombstones /
 compactions), route + IPOP traffic rates, wire decode errors, profiler
@@ -29,11 +29,11 @@ is read-only: attaching a dashboard never changes a run's trajectory.
 from __future__ import annotations
 
 import argparse
-import json
-import socket
 import sys
 import time
 from typing import Any, Optional
+
+from repro.apps.wowctl import ControlError, control_call
 
 #: metric names whose per-node children feed the hot-node table
 _NODE_ACTIVITY = ("brunet.route.sent", "brunet.route.forwarded",
@@ -42,7 +42,7 @@ _NODE_EXTRA = ("wire.decode_error",)
 
 
 # ---------------------------------------------------------------------------
-# snapshot building (shared by in-process mode and the stats socket)
+# snapshot building (shared by in-process mode and the control socket)
 # ---------------------------------------------------------------------------
 
 def build_stats(kernel: Any, top_nodes: int = 8) -> dict:
@@ -231,18 +231,14 @@ class Top:
 
 
 # ---------------------------------------------------------------------------
-# stats-socket client
+# control-socket client
 # ---------------------------------------------------------------------------
 
-def fetch_stats(addr: tuple[str, int], timeout: float = 2.0) -> dict:
-    """Poll one snapshot from a :meth:`RealtimeKernel.serve_stats`
-    socket (blocking; raises ``socket.timeout`` when the daemon is
+def fetch_stats(sock: str, timeout: float = 2.0) -> dict:
+    """Poll one snapshot through a daemon's control socket (blocking;
+    raises :class:`~repro.apps.wowctl.ControlError` when the daemon is
     gone)."""
-    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
-        sock.settimeout(timeout)
-        sock.sendto(b"stats", addr)
-        data, _ = sock.recvfrom(1 << 16)
-    return json.loads(data.decode())
+    return control_call(sock, "stats", timeout=timeout)
 
 
 # ---------------------------------------------------------------------------
@@ -259,17 +255,14 @@ def _paint(frame: str, plain: bool, out) -> None:
 
 
 def _watch_socket(args, out) -> int:
-    host, _, port = args.connect.rpartition(":")
-    addr = (host or "127.0.0.1", int(port))
     prev: Optional[dict] = None
     prev_wall: Optional[float] = None
     frames = 0
     while args.frames is None or frames < args.frames:
         try:
-            cur = fetch_stats(addr, timeout=args.timeout)
-        except (socket.timeout, OSError) as exc:
-            print(f"stats socket {addr[0]}:{addr[1]}: {exc}",
-                  file=sys.stderr)
+            cur = fetch_stats(args.connect, timeout=args.timeout)
+        except ControlError as exc:
+            print(f"control socket {exc}", file=sys.stderr)
             return 1
         wall = time.perf_counter()
         wall_dt = wall - prev_wall if prev_wall is not None else None
@@ -310,11 +303,11 @@ def main(argv: Optional[list[str]] = None, out=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.top",
         description="Live dashboard for a running overlay (in-process "
-                    "sim demo or a RealtimeKernel stats socket).")
+                    "sim demo or a live daemon's control socket).")
     mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--connect", metavar="IP:PORT",
-                      help="poll a RealtimeKernel stats socket "
-                           "(see repro.apps.daemon --stats-port)")
+    mode.add_argument("--connect", metavar="SOCK",
+                      help="poll a daemon's unix control socket "
+                           "(see repro.apps.daemon --control)")
     mode.add_argument("--sim", choices=["churn"],
                       help="run an inline simulated overlay and watch it")
     parser.add_argument("--interval", type=float, default=1.0,
@@ -323,7 +316,7 @@ def main(argv: Optional[list[str]] = None, out=None) -> int:
                         help="stop after N frames (default: forever; "
                              "sim mode defaults to 20)")
     parser.add_argument("--timeout", type=float, default=2.0,
-                        help="stats-socket poll timeout")
+                        help="control-socket poll timeout")
     parser.add_argument("--width", type=int, default=78)
     parser.add_argument("--plain", action="store_true",
                         help="append frames instead of clearing the "

@@ -4,7 +4,7 @@ A 10k-node ring pushes every keep-alive, overlord tick and routed packet
 through one global event heap.  :class:`ShardedKernel` partitions the ring
 into K contiguous address regions — ``shard_of(addr) = addr·K >> 160`` —
 and gives each region its own :class:`~repro.sim.engine.Simulator` (its
-own heap + timer wheel), while sharing a single RNG registry, tracer and
+own event heap), while sharing a single RNG registry, tracer and
 observability hub so a seed still pins the whole experiment.
 
 Synchronisation is classic conservative PDES: time advances in windows of

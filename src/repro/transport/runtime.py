@@ -14,15 +14,14 @@ relative to kernel creation (``loop.time() - t0``), which keeps timer
 arithmetic in the same small-positive-float regime the simulator uses.
 
 It is intentionally *not* a subclass of ``Simulator`` — the discrete
-event queue, the timer wheel and ``run()`` make no sense under a wall
-clock.  Anything outside the slice above raises ``AttributeError``
-loudly rather than silently misbehaving.
+event queue and ``run()`` make no sense under a wall clock.  Anything
+outside the slice above raises ``AttributeError`` loudly rather than
+silently misbehaving.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 from time import perf_counter
 from typing import Any, Callable, Optional
 
@@ -78,7 +77,6 @@ class RealtimeKernel:
         #: contract as ``Simulator.profiler``: every fired callback is
         #: counted, every stride-th one wall-timed into it)
         self.profiler = None
-        self._stats_transport: Optional[asyncio.DatagramTransport] = None
 
     # -- clock ----------------------------------------------------------
     @property
@@ -128,34 +126,6 @@ class RealtimeKernel:
                     self.executing = False
                     prof.account(fn, perf_counter() - t0, self)
 
-    # -- stats socket -----------------------------------------------------
-    async def serve_stats(self, host: str = "127.0.0.1", port: int = 0,
-                          public: bool = False,
-                          max_bytes: int = 8192) -> tuple[str, int]:
-        """Expose a UDP stats socket: a datagram is answered with one
-        JSON snapshot (see :func:`repro.obs.top.build_stats`) — the
-        attach point for ``python -m repro.obs.top --connect ip:port``
-        against a long-running daemon.  Returns the bound ``(ip, port)``.
-
-        By default only loopback sources are answered; pass
-        ``public=True`` to answer anyone (the snapshot leaks topology
-        detail, so this is opt-in).  Replies are capped at ``max_bytes``
-        — an unconditional multi-kB answer to a one-byte datagram is a
-        UDP amplification primitive.
-        """
-        transport, _ = await self.loop.create_datagram_endpoint(
-            lambda: _StatsProtocol(self, public=public, max_bytes=max_bytes),
-            local_addr=(host, port))
-        self._stats_transport = transport
-        sockname = transport.get_extra_info("sockname")
-        return sockname[0], sockname[1]
-
-    def close_stats(self) -> None:
-        """Tear down the stats socket (idempotent)."""
-        if self._stats_transport is not None:
-            self._stats_transport.close()
-            self._stats_transport = None
-
     # -- tracing ---------------------------------------------------------
     @property
     def trace_on(self) -> bool:
@@ -168,60 +138,3 @@ class RealtimeKernel:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<RealtimeKernel t={self.now:.3f}>"
-
-
-class _StatsProtocol(asyncio.DatagramProtocol):
-    """Datagram responder behind :meth:`RealtimeKernel.serve_stats`.
-
-    Hardened for the open internet even though it defaults to loopback:
-    ``transport`` is initialized eagerly (a datagram racing
-    ``connection_made`` is dropped, not an AttributeError), non-loopback
-    sources are ignored unless ``public``, and the reply is capped at
-    ``max_bytes`` by progressively shedding snapshot detail.
-    """
-
-    def __init__(self, kernel: "RealtimeKernel", public: bool = False,
-                 max_bytes: int = 8192):
-        self.kernel = kernel
-        self.public = public
-        self.max_bytes = max_bytes
-        self.transport: Optional[asyncio.DatagramTransport] = None
-
-    def connection_made(self, transport) -> None:
-        self.transport = transport
-
-    def connection_lost(self, exc) -> None:  # pragma: no cover - teardown
-        self.transport = None
-
-    @staticmethod
-    def _is_loopback(ip: str) -> bool:
-        return ip.startswith("127.") or ip in ("::1", "localhost")
-
-    def _snapshot(self) -> bytes:
-        from repro.obs.top import build_stats
-        try:
-            payload = json.dumps(build_stats(self.kernel),
-                                 sort_keys=True).encode()
-            if len(payload) <= self.max_bytes:
-                return payload
-            # shed detail until the reply fits: first the per-node /
-            # sector / profiler tables, then everything but the header
-            slim = build_stats(self.kernel, top_nodes=0)
-            slim.pop("sectors", None)
-            slim.pop("profile", None)
-            payload = json.dumps(slim, sort_keys=True).encode()
-            if len(payload) <= self.max_bytes:
-                return payload
-            minimal = {"t": self.kernel.now,
-                       "events": self.kernel.events_processed,
-                       "sums": {}, "nodes": [], "truncated": True}
-            return json.dumps(minimal, sort_keys=True).encode()
-        except Exception:  # pragma: no cover - stats must not kill
-            return b"{}"
-
-    def datagram_received(self, data: bytes, addr) -> None:
-        if self.transport is None:
-            return
-        if not self.public and not self._is_loopback(addr[0]):
-            return
-        self.transport.sendto(self._snapshot()[:self.max_bytes], addr)

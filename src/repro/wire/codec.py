@@ -635,23 +635,6 @@ def _rp_remember(m: RoutedPacket, full: bytes) -> None:
     _RP_REFS[key] = ref
 
 
-def _rp_lookup(m: RoutedPacket) -> Optional[bytes]:
-    key = id(m)
-    entry = _RP_CACHE.get(key)
-    if entry is None or _RP_REFS[key]() is not m:
-        return None
-    full, hops, nvia, payload, tid, parent = entry
-    if m.hops != hops or m.payload is not payload or len(m.via) != nvia:
-        return None
-    t = m.trace
-    if tid is None:
-        if t is not None:
-            return None
-    elif t is None or t.trace_id != tid or t.parent != parent:
-        return None
-    return full
-
-
 def _e_any(out: bytearray, value: Any) -> None:
     global opaque_frames
     t = type(value)

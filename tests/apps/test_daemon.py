@@ -13,7 +13,7 @@ import json
 import os
 
 from repro.apps import wowctl
-from repro.apps.daemon import WowDaemon
+from repro.apps.daemon import MAX_CTL_LINE, WowDaemon
 from repro.brunet.bootstrap import PeerCache
 from repro.brunet.config import BrunetConfig
 from repro.brunet.uri import Uri
@@ -79,6 +79,36 @@ def test_two_daemons_form_ring_and_answer_control(tmp_path, capsys):
         assert not bogus["ok"] and "unknown command" in bogus["error"]
 
         await b.shutdown("test")
+        await a.shutdown("test")
+
+    asyncio.run(scenario())
+
+
+def test_oversized_control_line_is_refused_not_raised(tmp_path):
+    """A request line past the control socket's cap gets an ``ok: false``
+    reply and a hang-up; nothing escapes to the loop's exception handler,
+    and the daemon keeps serving fresh connections."""
+    async def scenario():
+        escaped = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: escaped.append(context))
+        sock = str(tmp_path / "a.sock")
+        a = WowDaemon("10.128.0.2", config=FAST, name="a", control_path=sock)
+        await a.start()
+
+        reader, writer = await asyncio.open_unix_connection(sock)
+        writer.write(b"x" * (MAX_CTL_LINE + 1) + b"\n")
+        await writer.drain()
+        raw = await reader.readline()
+        writer.close()
+        await asyncio.sleep(0.05)  # let the handler task finish
+        assert escaped == []
+        assert raw, "daemon hung up without a reply"
+        reply = json.loads(raw)
+        assert not reply["ok"] and "too long" in reply["error"]
+
+        status = await _ctl(sock, "status")
+        assert status["ok"] and status["vip"] == "10.128.0.2"
         await a.shutdown("test")
 
     asyncio.run(scenario())

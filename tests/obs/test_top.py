@@ -1,7 +1,7 @@
-"""obs.top dashboard: snapshot building, rendering, stats socket, CLI."""
+"""obs.top dashboard: snapshot building, rendering, the control-socket
+client against a live daemon, CLI."""
 
 import asyncio
-import concurrent.futures
 import io
 
 from repro.obs import top
@@ -102,31 +102,33 @@ def test_top_render_is_read_only():
 
 
 # ---------------------------------------------------------------------------
-# stats socket (RealtimeKernel)
+# live daemon (control socket)
 # ---------------------------------------------------------------------------
 
-def test_stats_socket_round_trip():
-    async def scenario():
-        from repro.transport.runtime import RealtimeKernel
+async def _with_daemon(tmp_path, client):
+    """Run blocking ``client(sock)`` in a thread against a live daemon's
+    control socket; returns its result and the daemon's event count."""
+    from repro.apps.daemon import WowDaemon
 
-        kernel = RealtimeKernel(seed=5)
-        kernel.obs.enable_profiler()
-        ip, port = await kernel.serve_stats()
-        assert port != 0
-        kernel.schedule(0.0, lambda: None)
-        await asyncio.sleep(0.05)
-        loop = asyncio.get_running_loop()
-        with concurrent.futures.ThreadPoolExecutor(1) as pool:
-            stats = await loop.run_in_executor(
-                pool, top.fetch_stats, (ip, port))
-        kernel.close_stats()
-        kernel.close_stats()  # idempotent
-        return stats, kernel.events_processed
+    sock = str(tmp_path / "n0.sock")
+    daemon = WowDaemon("10.128.0.2", control_path=sock, name="n0")
+    await daemon.start()
+    daemon.kernel.obs.enable_profiler()
+    daemon.kernel.schedule(0.0, lambda: None)
+    await asyncio.sleep(0.05)
+    try:
+        result = await asyncio.to_thread(client, sock)
+    finally:
+        await daemon.shutdown("test")
+    return result, daemon.kernel.events_processed
 
-    stats, events = asyncio.run(scenario())
-    assert stats["events"] == events
-    assert "sums" in stats
-    # a frame renders from socket data alone
+
+def test_stats_socket_round_trip(tmp_path):
+    stats, events = asyncio.run(_with_daemon(tmp_path, top.fetch_stats))
+    assert stats["ok"]
+    assert 0 < stats["events"] <= events
+    assert "sums" in stats and "profile" in stats
+    # a frame renders from control-socket data alone
     assert "wow obs.top" in top.render_stats(stats)
 
 
@@ -145,8 +147,20 @@ def test_cli_sim_mode_renders_frames():
     assert "profile" in text
 
 
-def test_cli_connect_unreachable_fails_cleanly():
+def test_cli_connect_renders_frames_from_a_live_daemon(tmp_path):
     out = io.StringIO()
-    rc = top.main(["--connect", "127.0.0.1:1", "--frames", "1",
-                   "--timeout", "0.2", "--plain"], out=out)
+    rc, _events = asyncio.run(_with_daemon(tmp_path, lambda sock: top.main(
+        ["--connect", sock, "--frames", "2", "--interval", "0", "--plain"],
+        out=out)))
+    assert rc == 0
+    assert out.getvalue().count("wow obs.top") == 2
+
+
+def test_cli_connect_unreachable_fails_cleanly(tmp_path, capsys):
+    out = io.StringIO()
+    rc = top.main(["--connect", str(tmp_path / "missing.sock"),
+                   "--frames", "1", "--timeout", "0.2", "--plain"], out=out)
     assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "missing.sock" in err
+    assert "Traceback" not in err

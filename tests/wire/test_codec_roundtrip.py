@@ -5,6 +5,7 @@ For every protocol message type the invariant is
 typed :class:`~repro.wire.DecodeError` and nothing else.
 """
 
+import copy
 import random
 
 import pytest
@@ -160,6 +161,46 @@ def test_deeply_nested_forward():
 # ---------------------------------------------------------------------------
 # malformed input → typed DecodeError
 # ---------------------------------------------------------------------------
+
+def test_encode_memo_never_serves_a_stale_frame():
+    # encode() memoizes RoutedPacket envelopes and trace-bearing link
+    # messages by object id; every in-place mutation the router and the
+    # tracer perform must miss the memo and produce the fresh frame
+    def fresh(msg):
+        return encode(copy.deepcopy(msg))
+
+    rng = random.Random(11)
+    pkt = RoutedPacket(src=_addr(rng), dest=_addr(rng),
+                       payload=CtmRequest(5, _addr(rng), [_uri(rng)],
+                                          ConnectionType.SHORTCUT.value),
+                       size=100)
+    assert encode(pkt) == fresh(pkt)
+    assert encode(pkt) is encode(pkt)  # the memo is live
+
+    def mutate_then_check(change):
+        before = encode(pkt)
+        change()
+        after = encode(pkt)
+        assert after == fresh(pkt)
+        assert after != before
+
+    mutate_then_check(lambda: setattr(pkt, "hops", pkt.hops + 1))
+    mutate_then_check(lambda: pkt.via.append(_addr(rng)))
+    mutate_then_check(lambda: setattr(pkt, "trace", TraceRef(7, 1)))
+    mutate_then_check(lambda: setattr(pkt.trace, "parent", 2))
+    mutate_then_check(lambda: setattr(
+        pkt, "payload", IpEncap(_vip(rng), 64)))
+
+    req = LinkRequest(9, _addr(rng), [_uri(rng)],
+                      ConnectionType.STRUCTURED_NEAR.value)
+    assert encode(req) == fresh(req)
+    before = encode(req)
+    req.trace = TraceRef(3, 1)
+    assert encode(req) == fresh(req) != before
+    before = encode(req)
+    req.trace.parent = 4
+    assert encode(req) == fresh(req) != before
+
 
 def test_decode_error_is_a_value_error():
     assert issubclass(DecodeError, ValueError)
